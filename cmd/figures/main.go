@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"minkowski/internal/experiments"
@@ -129,7 +130,13 @@ func writeCSVs(dir string, r *experiments.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for name, rows := range r.CSV {
+	names := make([]string, 0, len(r.CSV))
+	for name := range r.CSV {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rows := r.CSV[name]
 		var b strings.Builder
 		for _, rec := range rows {
 			b.WriteString(strings.Join(rec, ","))

@@ -11,12 +11,16 @@
 //   - appends to a slice declared outside the loop (unless that slice
 //     is sorted later in the same function — the collect-then-sort
 //     idiom),
-//   - sends on a channel, or
+//   - sends on a channel,
 //   - calls into an order-sensitive sink package (CDPI/actuation,
-//     telemetry).
+//     telemetry), or
+//   - returns a value derived from the range key or value: the
+//     find-first shape, where which entry wins depends on iteration
+//     order.
 //
-// Counters, max/min folds, deletes from the ranged map, and other
-// commutative bodies are not flagged. A site that is genuinely
+// Counters, max/min folds, deletes from the ranged map, returns of
+// values that do not depend on the entry (`return true`, the
+// any-match shape), and other commutative bodies are not flagged. A site that is genuinely
 // order-insensitive but trips the check can carry a justification:
 //
 //	//minkowski:unordered-ok <why this is order-insensitive>
@@ -130,7 +134,97 @@ func OrderSensitiveEffects(pass *vet.Pass, enclosing ast.Node, rng *ast.RangeStm
 		}
 		return true
 	})
+	if findFirst(pass, rng) {
+		add("returns a value derived from the map key or value (which entry is found first depends on iteration order)")
+	}
 	return reasons
+}
+
+// findFirst reports whether a return statement in rng's body (not in
+// a nested function literal) returns a value derived from the range
+// key or value. Derivation follows assignments and nested ranges in
+// source order: a variable assigned from the key or value, or ranged
+// out of it, is derived too.
+func findFirst(pass *vet.Pass, rng *ast.RangeStmt) bool {
+	derived := map[types.Object]bool{}
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if obj := identObject(pass, e); obj != nil {
+			derived[obj] = true
+		}
+	}
+	if len(derived) == 0 {
+		return false
+	}
+	uses := func(e ast.Expr) bool {
+		for obj := range derived {
+			if usesObject(pass, e, obj) {
+				return true
+			}
+		}
+		return false
+	}
+	found := false
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			for _, rhs := range n.Rhs {
+				if uses(rhs) {
+					for _, lhs := range n.Lhs {
+						if obj := identObject(pass, lhs); obj != nil {
+							derived[obj] = true
+						}
+					}
+					break
+				}
+			}
+		case *ast.ValueSpec:
+			for _, v := range n.Values {
+				if uses(v) {
+					for _, name := range n.Names {
+						if obj := pass.TypesInfo.Defs[name]; obj != nil {
+							derived[obj] = true
+						}
+					}
+					break
+				}
+			}
+		case *ast.RangeStmt:
+			if uses(n.X) {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if obj := identObject(pass, e); obj != nil {
+						derived[obj] = true
+					}
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if uses(res) {
+					found = true
+					return false
+				}
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// identObject returns the variable a plain identifier defines or
+// refers to; nil for anything else, including the blank identifier.
+func identObject(pass *vet.Pass, e ast.Expr) types.Object {
+	id, ok := e.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := pass.TypesInfo.Defs[id]; obj != nil {
+		return obj
+	}
+	return pass.TypesInfo.Uses[id]
 }
 
 func isSink(pkgPath string) bool {

@@ -86,3 +86,80 @@ func badJustification(m map[string]int, ch chan<- string) {
 		ch <- k
 	}
 }
+
+type link struct{ a, b string }
+
+func findFirstValue(m map[string]*link, a, b string) (*link, bool) {
+	for _, l := range m { // want `returns a value derived from the map key or value`
+		if l.a == a && l.b == b {
+			return l, true
+		}
+	}
+	return nil, false
+}
+
+func findFirstKey(m map[string]int, v int) string {
+	for k, x := range m { // want `returns a value derived from the map key or value`
+		if x == v {
+			return k
+		}
+	}
+	return ""
+}
+
+func findFirstDerived(m map[string][]string) string {
+	for _, vs := range m { // want `returns a value derived from the map key or value`
+		for _, v := range vs {
+			name := "node/" + v
+			if len(name) > 8 {
+				return name
+			}
+		}
+	}
+	return ""
+}
+
+func findFirstVar(m map[string]int) string {
+	for k := range m { // want `returns a value derived from the map key or value`
+		var id = "node/" + k
+		return id
+	}
+	return ""
+}
+
+func anyMatch(m map[string]*link, a string) bool {
+	for _, l := range m { // constant return, the any-match shape: fine
+		if l.a == a || l.b == a {
+			return true
+		}
+	}
+	return false
+}
+
+func returnOuter(m map[string]int, fallback string) (string, bool) {
+	for _, x := range m { // returns nothing derived from the entry: fine
+		if x < 0 {
+			return fallback, false
+		}
+	}
+	return fallback, true
+}
+
+func returnInsideLiteral(m map[string]int) []func() string {
+	var fs []func() string
+	for k := range m { // the return belongs to the literal; the append is sorted below
+		fs = append(fs, func() string { return k })
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i]() < fs[j]() })
+	return fs
+}
+
+func justifiedFindFirst(m map[string]string, v string) string {
+	//minkowski:unordered-ok values are unique, so at most one key matches
+	for k, x := range m {
+		if x == v {
+			return k
+		}
+	}
+	return ""
+}

@@ -396,4 +396,3 @@ func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error
 		Types: tpkg, Info: info, TypeErrors: typeErrs,
 	}, nil
 }
-

@@ -14,15 +14,7 @@ import (
 // potential operable time" — a balloon outside the service region
 // isn't potential operable time.
 func (c *Controller) inService(n *platform.Node) bool {
-	if n.Kind != platform.KindBalloon || !n.Operational() {
-		return false
-	}
-	for _, r := range c.NBI.ActiveRequests() {
-		if r.Node == n.ID {
-			return true
-		}
-	}
-	return false
+	return n.Kind == platform.KindBalloon && n.Operational() && c.NBI.HasActiveRequest(n.ID)
 }
 
 // sampleTelemetry observes the Fig. 6/7 signals for every balloon
@@ -50,7 +42,7 @@ func (c *Controller) sampleTelemetry() {
 		c.Reach.Observe(now, id, telemetry.LayerData, dataUp)
 	}
 	// Fig. 7: redundancy utilization (established vs intended).
-	installed := len(c.Fabric.UpLinks())
+	installed := c.Fabric.NumUp()
 	grounds := len(c.gateways)
 	operBalloons := 0
 	for _, n := range c.Fleet.OperationalNodes() {
@@ -84,7 +76,7 @@ func (c *Controller) sampleRecovery() {
 		_, ok := c.Fabric.LinkBetween(a, b)
 		return ok
 	})
-	installed := len(c.Fabric.UpLinks())
+	installed := c.Fabric.NumUp()
 	for _, n := range c.Fleet.Nodes() {
 		if !c.inService(n) {
 			continue

@@ -56,7 +56,9 @@ func (fn *FabricNet) Nodes() []string {
 }
 
 // Neighbors implements Network from installed links, minus the
-// directions a partial partition has silenced.
+// directions a partial partition has silenced. Without a silenced
+// direction it returns the fabric's own shared slice: it must not be
+// modified.
 func (fn *FabricNet) Neighbors(id string) []string {
 	nbs := fn.Fabric.Neighbors(id)
 	blocked := fn.deaf[id]

@@ -15,6 +15,7 @@
 package manet
 
 import (
+	"slices"
 	"sort"
 
 	"minkowski/internal/sim"
@@ -27,7 +28,8 @@ type Network interface {
 	// Nodes returns all node IDs, sorted.
 	Nodes() []string
 	// Neighbors returns the nodes adjacent to id over installed
-	// links, sorted.
+	// links, sorted. The slice may be shared with the network and
+	// other callers: it must not be modified.
 	Neighbors(id string) []string
 	// Latency returns the one-hop delivery latency in seconds between
 	// adjacent nodes (typically sub-millisecond propagation plus
@@ -66,17 +68,15 @@ func PathFrom(r Router, src, dst string) ([]string, bool) {
 		return []string{src}, true
 	}
 	path := []string{src}
-	seen := map[string]bool{src: true}
 	cur := src
 	for i := 0; i < 64; i++ {
 		nh, ok := r.NextHop(cur, dst)
 		if !ok {
 			return nil, false
 		}
-		if seen[nh] {
+		if slices.Contains(path, nh) {
 			return nil, false // loop
 		}
-		seen[nh] = true
 		path = append(path, nh)
 		if nh == dst {
 			return path, true

@@ -19,19 +19,25 @@ func TestBackhaulLifecycle(t *testing.T) {
 	if id != "backhaul/hbal-001" {
 		t.Errorf("id = %q", id)
 	}
-	if len(s.ActiveRequests()) != 1 {
+	if len(s.ActiveRequests()) != 1 || !s.HasActiveRequest("hbal-001") {
 		t.Fatal("request not active")
+	}
+	if s.HasActiveRequest("hbal-002") {
+		t.Error("HasActiveRequest true for a node that never asked")
 	}
 	reqs := s.SolverRequests()
 	if len(reqs) != 1 || reqs[0].Src != "hbal-001" || reqs[0].MinBitrateBps != 50e6 {
 		t.Errorf("solver requests = %+v", reqs)
 	}
 	s.ReleaseBackhaul("hbal-001")
-	if len(s.ActiveRequests()) != 0 {
+	if len(s.ActiveRequests()) != 0 || s.HasActiveRequest("hbal-001") {
 		t.Error("released request still active")
 	}
 	// Re-request reactivates with new parameters.
 	s.RequestBackhaul("hbal-001", classifier(100), "rg-1")
+	if !s.HasActiveRequest("hbal-001") {
+		t.Error("re-requested backhaul not active")
+	}
 	reqs = s.SolverRequests()
 	if len(reqs) != 1 || reqs[0].MinBitrateBps != 100e6 {
 		t.Errorf("reactivated request = %+v", reqs)

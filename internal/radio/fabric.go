@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"minkowski/internal/geo"
@@ -97,6 +98,8 @@ type Fabric struct {
 	// failures.
 	cursed map[LinkID]bool
 	tried  map[LinkID]bool
+	// up indexes the links in StateUp by node and node pair.
+	up upIndex
 
 	// OnUp is called when a link reaches StateUp.
 	OnUp func(*Link)
@@ -115,6 +118,7 @@ func NewFabric(eng *sim.Engine, wx *weather.Field, cfg Config) *Fabric {
 		links:  make(map[LinkID]*Link),
 		cursed: make(map[LinkID]bool),
 		tried:  make(map[LinkID]bool),
+		up:     newUpIndex(),
 	}
 	eng.Every(cfg.CheckInterval, func() bool {
 		f.checkAll()
@@ -227,6 +231,7 @@ func (f *Fabric) finishAcquire(l *Link) {
 	}
 	l.Measured = b
 	l.State = StateUp
+	f.up.add(l)
 	l.EstablishedAt = f.eng.Now()
 	if f.OnUp != nil {
 		f.OnUp(l)
@@ -284,6 +289,9 @@ func (f *Fabric) Withdraw(id LinkID) bool {
 func (f *Fabric) end(l *Link, r Reason) {
 	if l.State == StateDown {
 		return
+	}
+	if l.State == StateUp {
+		f.up.remove(l)
 	}
 	l.State = StateDown
 	l.EndReason = r
@@ -380,12 +388,7 @@ func (f *Fabric) Links() []*Link {
 	for _, l := range f.links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.A != out[j].ID.A {
-			return out[i].ID.A < out[j].ID.A
-		}
-		return out[i].ID.B < out[j].ID.B
-	})
+	slices.SortFunc(out, cmpLinkID)
 	return out
 }
 
@@ -403,53 +406,29 @@ func (f *Fabric) UpLinks() []*Link {
 // History returns all completed links in completion order.
 func (f *Fabric) History() []*Link { return f.history }
 
+// NumUp returns the number of links in StateUp; it equals
+// len(UpLinks()) without building and sorting the list.
+func (f *Fabric) NumUp() int { return f.up.n }
+
 // NodeUp reports whether a node has at least one installed link.
 func (f *Fabric) NodeUp(nodeID string) bool {
-	for _, l := range f.links {
-		if !l.Up() {
-			continue
-		}
-		a, b := l.Nodes()
-		if a == nodeID || b == nodeID {
-			return true
-		}
-	}
-	return false
+	return f.up.nodes[nodeID] != nil
 }
 
 // Neighbors returns the node IDs reachable over installed links from
-// a node, sorted.
+// a node, sorted. The slice is shared with the fabric and later
+// callers: it must not be modified. A later link change gives later
+// calls a new slice and leaves this one as it was.
 func (f *Fabric) Neighbors(nodeID string) []string {
-	seen := map[string]bool{}
-	for _, l := range f.links {
-		if !l.Up() {
-			continue
-		}
-		a, b := l.Nodes()
-		if a == nodeID {
-			seen[b] = true
-		} else if b == nodeID {
-			seen[a] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return f.up.neighbors(nodeID)
 }
 
 // LinkBetween returns the installed link between two nodes, if any.
+// With parallel links between the pair (one per transceiver pairing)
+// it returns the one with the lowest LinkID.
 func (f *Fabric) LinkBetween(nodeA, nodeB string) (*Link, bool) {
-	for _, l := range f.links {
-		if !l.Up() {
-			continue
-		}
-		a, b := l.Nodes()
-		if (a == nodeA && b == nodeB) || (a == nodeB && b == nodeA) {
-			return l, true
-		}
+	if ls := f.up.byPair[makeNodePair(nodeA, nodeB)]; len(ls) > 0 {
+		return ls[0], true
 	}
 	return nil, false
 }

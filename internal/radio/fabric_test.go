@@ -1,6 +1,10 @@
 package radio
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"minkowski/internal/flight"
@@ -376,4 +380,220 @@ func BenchmarkEstablishTeardown(b *testing.B) {
 			fab.Withdraw(l.ID)
 		}
 	}
+}
+
+func TestLinkBetweenParallelLinks(t *testing.T) {
+	eng, fab, nodes := testWorld(t, reliable())
+	a, b := nodes[0], nodes[1]
+	// Two transceiver pairings between the same two balloons; the
+	// higher LinkID is established first so insertion order cannot
+	// stand in for ID order.
+	hi := fab.Establish(a.Xcvrs[1], b.Xcvrs[2], rf.EBandChannels()[1], 1)
+	lo := fab.Establish(a.Xcvrs[0], b.Xcvrs[0], rf.EBandChannels()[0], 1)
+	eng.Run(300)
+	if !hi.Up() || !lo.Up() {
+		t.Fatalf("precondition: both links up (hi %v/%v, lo %v/%v)", hi.State, hi.EndReason, lo.State, lo.EndReason)
+	}
+	if cmpLinkID(lo, hi) >= 0 {
+		t.Fatalf("precondition: %v must sort before %v", lo.ID, hi.ID)
+	}
+	for _, ends := range [][2]string{{a.ID, b.ID}, {b.ID, a.ID}} {
+		if l, ok := fab.LinkBetween(ends[0], ends[1]); !ok || l != lo {
+			t.Errorf("LinkBetween(%s, %s) = %v, want the lower-ID %v", ends[0], ends[1], l, lo.ID)
+		}
+	}
+	if nb := fab.Neighbors(a.ID); len(nb) != 1 || nb[0] != b.ID {
+		t.Errorf("Neighbors(%s) = %v, want the peer once", a.ID, nb)
+	}
+	fab.Withdraw(lo.ID)
+	if l, ok := fab.LinkBetween(b.ID, a.ID); !ok || l != hi {
+		t.Errorf("after withdrawing %v: LinkBetween = %v, want %v", lo.ID, l, hi.ID)
+	}
+	if !fab.NodeUp(a.ID) || !fab.NodeUp(b.ID) {
+		t.Error("NodeUp must hold while one parallel link remains")
+	}
+	fab.Withdraw(hi.ID)
+	if fab.NodeUp(a.ID) || fab.NodeUp(b.ID) {
+		t.Error("NodeUp must be false once both links are down")
+	}
+	if _, ok := fab.LinkBetween(a.ID, b.ID); ok {
+		t.Error("LinkBetween must fail once both links are down")
+	}
+}
+
+// The scan bodies Neighbors, NodeUp and LinkBetween had before the
+// up-link index, kept as oracles for it. scanLinkBetween walks the
+// sorted Links, so its first match is the lowest LinkID.
+
+func scanNodeUp(f *Fabric, nodeID string) bool {
+	for _, l := range f.links {
+		if !l.Up() {
+			continue
+		}
+		a, b := l.Nodes()
+		if a == nodeID || b == nodeID {
+			return true
+		}
+	}
+	return false
+}
+
+func scanNeighbors(f *Fabric, nodeID string) []string {
+	seen := map[string]bool{}
+	for _, l := range f.links {
+		if !l.Up() {
+			continue
+		}
+		a, b := l.Nodes()
+		if a == nodeID {
+			seen[b] = true
+		} else if b == nodeID {
+			seen[a] = true
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for id := range seen {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func scanLinkBetween(f *Fabric, nodeA, nodeB string) (*Link, bool) {
+	for _, l := range f.Links() {
+		if !l.Up() {
+			continue
+		}
+		a, b := l.Nodes()
+		if (a == nodeA && b == nodeB) || (a == nodeB && b == nodeA) {
+			return l, true
+		}
+	}
+	return nil, false
+}
+
+// indexStats counts what one driver run exercised.
+type indexStats struct {
+	parallel, fades, withdrawals, failures int
+}
+
+// driveFabricIndex decodes ops into a sequence of Establish calls
+// (parallel transceiver pairings included), engine advances through
+// slewing, acquisition and fade checks, Withdraw and FailNode on a
+// five-node world, and checks the up-link index against the scan
+// oracles after every step and inside every OnUp/OnDown callback.
+func driveFabricIndex(t *testing.T, ops []byte) indexStats {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.GlitchProbPerCheck = 0.05 // enough checkAll fades to matter
+	cfg.ReacquireProb = 0.3
+	cfg.PersistentFailProb = 0.1 // and enough ups for parallel pairs
+	cfg.FlakeProb = 0.1
+	eng := sim.New(1)
+	wcfg := weather.DefaultConfig()
+	wcfg.CellSpawnPerHour = 0
+	fab := NewFabric(eng, weather.NewField(wcfg), cfg)
+	var nodes []*platform.Node
+	for i, lon := range []float64{36.5, 37.4, 38.3, 39.2} {
+		b := &flight.Balloon{ID: fmt.Sprintf("hbal-%03d", i), Pos: geo.LLADeg(-1, lon, 18000)}
+		n := platform.NewBalloonNode(b)
+		n.Power.CommsOn = true
+		n.Power.BatteryWh = platform.BatteryCapacityWh
+		nodes = append(nodes, n)
+	}
+	nodes = append(nodes, platform.NewGroundStation("gs-0", geo.LLADeg(-1, 37.8, 1600), nil))
+	var xcvrs []*platform.Transceiver
+	for _, n := range nodes {
+		xcvrs = append(xcvrs, n.Xcvrs...)
+	}
+	chans := rf.EBandChannels()
+
+	var st indexStats
+	check := func(when string) {
+		t.Helper()
+		if got, want := fab.NumUp(), len(fab.UpLinks()); got != want {
+			t.Fatalf("%s: NumUp = %d, len(UpLinks) = %d", when, got, want)
+		}
+		for _, n := range nodes {
+			if got, want := fab.NodeUp(n.ID), scanNodeUp(fab, n.ID); got != want {
+				t.Fatalf("%s: NodeUp(%s) = %v, scan says %v", when, n.ID, got, want)
+			}
+			if got, want := fab.Neighbors(n.ID), scanNeighbors(fab, n.ID); !slices.Equal(got, want) {
+				t.Fatalf("%s: Neighbors(%s) = %v, scan says %v", when, n.ID, got, want)
+			}
+			for _, m := range nodes {
+				got, gok := fab.LinkBetween(n.ID, m.ID)
+				want, wok := scanLinkBetween(fab, n.ID, m.ID)
+				if got != want || gok != wok {
+					t.Fatalf("%s: LinkBetween(%s, %s) = %v %v, scan says %v %v", when, n.ID, m.ID, got, gok, want, wok)
+				}
+			}
+		}
+	}
+	fab.OnUp = func(l *Link) {
+		check("OnUp " + l.ID.String())
+		a, b := l.Nodes()
+		if len(fab.up.byPair[makeNodePair(a, b)]) > 1 {
+			st.parallel++
+		}
+	}
+	fab.OnDown = func(l *Link, r Reason) {
+		check("OnDown " + l.ID.String())
+		if r == ReasonRFFade {
+			st.fades++
+		}
+	}
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, x, y := ops[i], int(ops[i+1]), int(ops[i+2])
+		switch op % 5 {
+		case 0, 1:
+			fab.Establish(xcvrs[x%len(xcvrs)], xcvrs[y%len(xcvrs)], chans[(x+y)%len(chans)], 1+y%3)
+		case 2:
+			eng.Run(eng.Now() + float64(5*(1+x%60)))
+		case 3:
+			if ls := fab.Links(); len(ls) > 0 {
+				fab.Withdraw(ls[x%len(ls)].ID)
+				st.withdrawals++
+			}
+		case 4:
+			if y%4 == 0 {
+				fab.FailNode(nodes[x%len(nodes)].ID, ReasonPowerLoss)
+				st.failures++
+			}
+		}
+		check(fmt.Sprintf("op %d", i/3))
+	}
+	return st
+}
+
+func TestFabricIndexMatchesScan(t *testing.T) {
+	var total indexStats
+	for seed := int64(1); seed <= 8; seed++ {
+		ops := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		st := driveFabricIndex(t, ops)
+		total.parallel += st.parallel
+		total.fades += st.fades
+		total.withdrawals += st.withdrawals
+		total.failures += st.failures
+	}
+	t.Logf("driver coverage: %+v", total)
+	// The driver is only a check if it reached the interesting cases.
+	if total.parallel == 0 || total.fades == 0 || total.withdrawals == 0 || total.failures == 0 {
+		t.Errorf("driver coverage too thin: %+v", total)
+	}
+}
+
+func FuzzFabricIndex(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ops := make([]byte, 300)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 900 {
+			ops = ops[:900] // 300 steps keep one exec to milliseconds
+		}
+		driveFabricIndex(t, ops)
+	})
 }
