@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"sort"
 
 	"minkowski"
 	"minkowski/internal/explain"
@@ -45,8 +46,13 @@ func main() {
 			fmt.Printf("  %s [%s]\n", l, snap.Intents[l])
 		}
 		fmt.Printf("routes (%d):\n", len(snap.Routes))
-		for id, path := range snap.Routes {
-			fmt.Printf("  %s: %v\n", id, path)
+		ids := make([]string, 0, len(snap.Routes))
+		for id := range snap.Routes {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			fmt.Printf("  %s: %v\n", id, snap.Routes[id])
 		}
 	} else {
 		fmt.Println("no snapshot recorded yet")

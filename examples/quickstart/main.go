@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"minkowski"
 )
@@ -32,8 +33,14 @@ func main() {
 			fmt.Printf("  %s %-22s <-> %-22s %4.0f Mbps (margin %.1f dB)\n",
 				kind, l.A, l.B, l.BitrateBps/1e6, l.MarginDB)
 		}
-		for id, path := range sim.Routes() {
-			fmt.Printf("  route %-22s %v\n", id, path)
+		routes := sim.Routes()
+		ids := make([]string, 0, len(routes))
+		for id := range routes {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			fmt.Printf("  route %-22s %v\n", id, routes[id])
 		}
 	}
 	fmt.Println()

@@ -13,7 +13,10 @@
 //     idiom),
 //   - sends on a channel,
 //   - calls into an order-sensitive sink package (CDPI/actuation,
-//     telemetry), or
+//     telemetry),
+//   - prints or writes output: a fmt.Print*/Fprint* call, or a Write*
+//     method of a value that implements io.Writer (files, buffers,
+//     builders, hashes), or
 //   - returns a value derived from the range key or value: the
 //     find-first shape, where which entry wins depends on iteration
 //     order.
@@ -31,7 +34,9 @@ package mapiter
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 
 	"minkowski/internal/analysis/vet"
 )
@@ -108,8 +113,12 @@ func OrderSensitiveEffects(pass *vet.Pass, enclosing ast.Node, rng *ast.RangeStm
 		case *ast.SendStmt:
 			add("sends on a channel")
 		case *ast.CallExpr:
-			if callee := calleeFunc(pass, n); callee != nil && callee.Pkg() != nil && isSink(callee.Pkg().Path()) {
+			callee := calleeFunc(pass, n)
+			if callee != nil && callee.Pkg() != nil && isSink(callee.Pkg().Path()) {
 				add("calls into order-sensitive package " + callee.Pkg().Path())
+			}
+			if what, ok := writesOutput(callee); ok {
+				add("writes output (" + what + ")")
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
@@ -225,6 +234,46 @@ func identObject(pass *vet.Pass, e ast.Expr) types.Object {
 		return obj
 	}
 	return pass.TypesInfo.Uses[id]
+}
+
+// printFuncs are the fmt functions whose effect is output.
+var printFuncs = map[string]bool{
+	"Print": true, "Printf": true, "Println": true,
+	"Fprint": true, "Fprintf": true, "Fprintln": true,
+}
+
+// ioWriter is io.Writer, built here so the check does not depend on
+// the analyzed package importing io.
+var ioWriter = func() *types.Interface {
+	errType := types.Universe.Lookup("error").Type()
+	write := types.NewSignatureType(nil, nil, nil,
+		types.NewTuple(types.NewParam(token.NoPos, nil, "p", types.NewSlice(types.Typ[types.Byte]))),
+		types.NewTuple(types.NewParam(token.NoPos, nil, "n", types.Typ[types.Int]),
+			types.NewParam(token.NoPos, nil, "err", errType)),
+		false)
+	return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Write", write)}, nil).Complete()
+}()
+
+// writesOutput reports whether a call to callee emits output whose
+// order is the call order: a fmt print function, or a Write* method
+// (Write, WriteString, WriteByte, ...) of a type that implements
+// io.Writer. It returns a short name of the call for the diagnostic.
+func writesOutput(callee *types.Func) (string, bool) {
+	if callee == nil {
+		return "", false
+	}
+	if callee.Pkg() != nil && callee.Pkg().Path() == "fmt" && printFuncs[callee.Name()] {
+		return "fmt." + callee.Name(), true
+	}
+	sig, _ := callee.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil || !strings.HasPrefix(callee.Name(), "Write") {
+		return "", false
+	}
+	recv := sig.Recv().Type()
+	if types.Implements(recv, ioWriter) || types.Implements(types.NewPointer(recv), ioWriter) {
+		return "io.Writer method " + callee.Name(), true
+	}
+	return "", false
 }
 
 func isSink(pkgPath string) bool {

@@ -2,7 +2,12 @@
 package mapitertest
 
 import (
+	"fmt"
+	"hash/fnv"
+	"io"
+	"os"
 	"sort"
+	"strings"
 
 	"minkowski/internal/telemetry"
 )
@@ -162,4 +167,89 @@ func justifiedFindFirst(m map[string]string, v string) string {
 		}
 	}
 	return ""
+}
+
+func printInRange(m map[string][]string) {
+	for id, path := range m { // want `writes output \(fmt.Printf\)`
+		fmt.Printf("route %s %v\n", id, path)
+	}
+}
+
+func printlnInRange(m map[string]int) {
+	for k := range m { // want `writes output \(fmt.Println\)`
+		fmt.Println(k)
+	}
+}
+
+func fprintInRange(w io.Writer, m map[string]int) {
+	for k, v := range m { // want `writes output \(fmt.Fprintf\)`
+		fmt.Fprintf(w, "%s=%d\n", k, v)
+	}
+}
+
+func writerWriteInRange(w io.Writer, m map[string]int) {
+	for k := range m { // want `writes output \(io.Writer method Write\)`
+		w.Write([]byte(k))
+	}
+}
+
+func fileWriteInRange(m map[string]int) {
+	for k := range m { // want `writes output \(io.Writer method WriteString\)`
+		os.Stdout.WriteString(k)
+	}
+}
+
+func builderInRange(m map[string]int) string {
+	var b strings.Builder
+	for k := range m { // want `writes output \(io.Writer method WriteString\)`
+		b.WriteString(k)
+	}
+	return b.String()
+}
+
+func hashInRange(m map[string]int) uint64 {
+	h := fnv.New64a()
+	for k := range m { // want `writes output \(io.Writer method Write\)`
+		h.Write([]byte(k))
+	}
+	return h.Sum64()
+}
+
+func printSorted(m map[string][]string) {
+	ids := make([]string, 0, len(m))
+	for id := range m { // collect-then-sort, printing from the sorted slice: fine
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		fmt.Printf("route %s %v\n", id, m[id])
+	}
+}
+
+func sprintfInRange(m map[string]int) int {
+	n := 0
+	for k, v := range m { // Sprintf returns a value and prints nothing: fine
+		n += len(fmt.Sprintf("%s=%d", k, v))
+	}
+	return n
+}
+
+// tally has a Write method that is not io.Writer's.
+type tally struct{ n int }
+
+func (t *tally) Write(s string) { t.n += len(s) }
+
+func nonWriterWriteInRange(m map[string]int) int {
+	var t tally
+	for k := range m { // a Write method outside io.Writer: fine
+		t.Write(k)
+	}
+	return t.n
+}
+
+func justifiedPrint(m map[string]int) {
+	//minkowski:unordered-ok the map holds at most one entry
+	for k := range m {
+		fmt.Println(k)
+	}
 }

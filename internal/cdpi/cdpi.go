@@ -187,7 +187,8 @@ func (ib *InBand) pathUsable(p []string) bool {
 }
 
 // PathTo returns the full node path (GS first) from the EC to a node
-// over the best available gateway, if any.
+// over the best available gateway, if any. The path may be shared with
+// the router's path memo and later callers: it must not be modified.
 func (ib *InBand) PathTo(node string) ([]string, bool) {
 	if ib.partitioned[node] {
 		return nil, false
@@ -219,7 +220,8 @@ func (ib *InBand) Connected(node string) bool {
 // PathUp returns the full node path (node first, GS last) from a node
 // to the EC over the best reachable gateway. With directed mesh
 // adjacency (partial partitions) this is NOT the reverse of PathTo:
-// each direction routes over its own live edges.
+// each direction routes over its own live edges. Like PathTo's, the
+// returned path is shared and must not be modified.
 func (ib *InBand) PathUp(node string) ([]string, bool) {
 	if ib.partitioned[node] {
 		return nil, false

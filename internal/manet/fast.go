@@ -24,6 +24,10 @@ type Fast struct {
 
 	tables  map[string]map[string]string // src -> dst -> next hop
 	dirtyAt float64                      // earliest unapplied change; <0 when clean
+	// paths memoises PathFrom walks by (src, dst); a nil path records
+	// a failed walk. A walk reads only tables and Network.Neighbors,
+	// so recompute and every TopologyChanged clear it.
+	paths map[[2]string][]string
 	// Recomputes counts table rebuilds (telemetry).
 	Recomputes int
 }
@@ -31,7 +35,7 @@ type Fast struct {
 // NewFast creates the oracle router. Call TopologyChanged from the
 // link fabric's OnUp/OnDown callbacks.
 func NewFast(eng *sim.Engine, net Network, convergenceS float64) *Fast {
-	f := &Fast{eng: eng, net: net, ConvergenceS: convergenceS, dirtyAt: -1}
+	f := &Fast{eng: eng, net: net, ConvergenceS: convergenceS, dirtyAt: -1, paths: map[[2]string][]string{}}
 	f.recompute()
 	return f
 }
@@ -46,8 +50,12 @@ func (f *Fast) Stats() Stats { return Stats{} }
 // Start implements Router (no periodic work).
 func (f *Fast) Start() {}
 
-// TopologyChanged notes that the link set changed now.
+// TopologyChanged notes that the link set changed now. It must be
+// called whenever anything Network.Neighbors reads changes (links
+// coming up or going down, a direction going deaf), because the path
+// memo trusts it: a missed call serves walks over the old adjacency.
 func (f *Fast) TopologyChanged() {
+	clear(f.paths)
 	if f.dirtyAt < 0 {
 		f.dirtyAt = f.eng.Now()
 	}
@@ -65,6 +73,7 @@ func (f *Fast) maybeRecompute() {
 // recompute rebuilds all-pairs next hops by BFS from every node.
 func (f *Fast) recompute() {
 	f.Recomputes++
+	clear(f.paths)
 	f.tables = make(map[string]map[string]string)
 	for _, src := range f.net.Nodes() {
 		f.tables[src] = bfsNextHops(f.net, src)
@@ -114,4 +123,22 @@ func (f *Fast) NextHop(src, dst string) (string, bool) {
 		return "", false
 	}
 	return nh, true
+}
+
+// pathFrom is PathFrom for src != dst, memoised. It runs
+// maybeRecompute first, at the same sim time the walk's first NextHop
+// would, so tables are rebuilt exactly when an unmemoised walk would
+// rebuild them. Within one walk the later NextHop calls cannot
+// rebuild again (sim time does not move), so the walk reads only
+// tables and Network.Neighbors, and the memo is exact until the next
+// recompute or TopologyChanged.
+func (f *Fast) pathFrom(src, dst string) ([]string, bool) {
+	f.maybeRecompute()
+	k := [2]string{src, dst}
+	if p, hit := f.paths[k]; hit {
+		return p, p != nil
+	}
+	p, ok := walk(f, src, dst) // a failed walk returns a nil path
+	f.paths[k] = p
+	return p, ok
 }

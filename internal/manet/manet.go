@@ -62,11 +62,21 @@ type Router interface {
 
 // PathFrom walks NextHop from src toward dst and returns the node
 // path if the route completes without loops. This is how the
-// simulation "forwards" control-plane traffic.
+// simulation "forwards" control-plane traffic. A *Fast router answers
+// from its path memo (see Fast.pathFrom), so the returned slice may be
+// shared with the router and later callers: it must not be modified.
 func PathFrom(r Router, src, dst string) ([]string, bool) {
 	if src == dst {
 		return []string{src}, true
 	}
+	if f, ok := r.(*Fast); ok {
+		return f.pathFrom(src, dst)
+	}
+	return walk(r, src, dst)
+}
+
+// walk is PathFrom's hop-by-hop NextHop walk for src != dst.
+func walk(r Router, src, dst string) ([]string, bool) {
 	path := []string{src}
 	cur := src
 	for i := 0; i < 64; i++ {

@@ -143,20 +143,34 @@ func (c Config) seasonScale() float64 {
 // sees — the controller sees gauges, forecasts, and climatology; the
 // radio sees the truth. The gap between them is the modelled-vs-
 // measured error of Fig. 10.
+//
+// A Field is not safe for concurrent use: even PathAttenuation writes
+// (to its memo).
 type Field struct {
 	cfg    Config
 	rng    *rand.Rand
 	now    float64
 	cells  []*RainCell
 	clouds []CloudLayer
+	// atten memoises PathAttenuation between mutations. Step and
+	// InjectCell, the only mutators, clear it.
+	atten map[attenKey]float64
+}
+
+// attenKey is the exact bit pattern of a PathAttenuation query.
+type attenKey struct {
+	fGHz             uint64
+	aLat, aLon, aAlt uint64
+	bLat, bLon, bAlt uint64
 }
 
 // NewField creates a weather field and warms it up so the region
 // starts with a climatologically plausible cell population.
 func NewField(cfg Config) *Field {
 	f := &Field{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		atten: map[attenKey]float64{},
 		clouds: []CloudLayer{
 			{BaseAltM: 1500, TopAltM: 3000, LWC: 0.25},
 		},
@@ -198,6 +212,7 @@ func (f *Field) spawnCell() *RainCell {
 // Step advances the field by dt seconds: advects cells, retires dead
 // ones, and spawns new ones at the seasonal Poisson rate.
 func (f *Field) Step(dt float64) {
+	clear(f.atten)
 	f.now += dt
 	live := f.cells[:0]
 	for _, c := range f.cells {
@@ -224,6 +239,7 @@ func (f *Field) Step(dt float64) {
 // is born so that it is at peak intensity now and persists for lifeS
 // more seconds.
 func (f *Field) InjectCell(center geo.LLA, radiusM, peakRate, topAltM, lifeS float64) {
+	clear(f.atten)
 	f.cells = append(f.cells, &RainCell{
 		Center: center, RadiusM: radiusM, PeakRate: peakRate,
 		TopAltM: topAltM,
@@ -272,7 +288,26 @@ func (f *Field) LWCAt(p geo.LLA) float64 {
 // and cloud moisture. This is what the simulated radios experience —
 // it stays on the exact closed forms (no LUT quantization) so the
 // physical truth is independent of the evaluator's memoization.
+//
+// The result depends only on the arguments and the field's state, so
+// it is memoised until the next Step or InjectCell; a hit returns the
+// same bits the integration would.
 func (f *Field) PathAttenuation(fGHz float64, a, b geo.LLA) float64 {
+	k := attenKey{
+		fGHz: math.Float64bits(fGHz),
+		aLat: math.Float64bits(a.Lat), aLon: math.Float64bits(a.Lon), aAlt: math.Float64bits(a.Alt),
+		bLat: math.Float64bits(b.Lat), bLon: math.Float64bits(b.Lon), bAlt: math.Float64bits(b.Alt),
+	}
+	if v, ok := f.atten[k]; ok {
+		return v
+	}
+	v := f.pathAttenuation(fGHz, a, b)
+	f.atten[k] = v
+	return v
+}
+
+// pathAttenuation is PathAttenuation without the memo.
+func (f *Field) pathAttenuation(fGHz float64, a, b geo.LLA) float64 {
 	const samples = 16
 	pts := geo.SampleSegment(a, b, samples)
 	stepKm := geo.SlantRange(a, b) / float64(samples) / 1000

@@ -308,6 +308,8 @@ func BenchmarkFieldStep(b *testing.B) {
 	}
 }
 
+// BenchmarkPathAttenuation times one un-memoised integration, the
+// cost of a memo miss.
 func BenchmarkPathAttenuation(b *testing.B) {
 	f := NewField(DefaultConfig())
 	for i := 0; i < 20; i++ {
@@ -317,7 +319,7 @@ func BenchmarkPathAttenuation(b *testing.B) {
 	bln := geo.LLADeg(-1.5, 37.8, 18000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f.PathAttenuation(80, gs, bln)
+		_ = f.pathAttenuation(80, gs, bln)
 	}
 }
 
