@@ -128,6 +128,15 @@ func TestPointingReciprocal(t *testing.T) {
 	}
 }
 
+// TestPointingToDoesNotAllocate: PointingTo runs per candidate pair
+// on the evaluator's hot path, so its ENU frame must stay off the heap.
+func TestPointingToDoesNotAllocate(t *testing.T) {
+	a, b := LLADeg(-1, 36.8, 1600), LLADeg(-0.4, 37.5, 18000)
+	if n := testing.AllocsPerRun(100, func() { _ = PointingTo(a, b) }); n != 0 {
+		t.Fatalf("PointingTo allocates %v times per call", n)
+	}
+}
+
 func TestLineOfSightStratosphere(t *testing.T) {
 	// Two balloons at 18 km, 500 km apart: LOS should clear the Earth.
 	a := LLADeg(0, 35, 18000)

@@ -1,10 +1,10 @@
 package linkeval
 
 // Candidate-edge delta emission: CandidateGraphDelta wraps
-// CandidateGraph and reports exactly which link IDs appeared,
-// disappeared, or changed any report field since the previous call —
-// the controller's solve loop uses it for telemetry and to decide how
-// much warm-solver reuse to expect. (The solver's Warm state computes
+// CandidateGraph and counts the link IDs that appeared, disappeared,
+// or changed any report field since the previous call — the
+// controller's solve loop uses the counts for telemetry and to decide
+// how much warm-solver reuse to expect. (The solver's Warm state computes
 // its own cost-signature delta internally so its correctness argument
 // is self-contained; EdgeDelta is the coarser, any-field-changed
 // view.)
@@ -24,9 +24,6 @@ type EdgeDelta struct {
 	// the previous graph, gone from it, present in both with any
 	// report field different, and present in both and identical.
 	Added, Removed, Changed, Unchanged int
-	// AddedIDs / RemovedIDs / ChangedIDs list the affected links in
-	// ID order.
-	AddedIDs, RemovedIDs, ChangedIDs []radio.LinkID
 }
 
 // Churn is added+removed+changed — the number of edges a consumer
@@ -64,18 +61,15 @@ func (e *Evaluator) CandidateGraphDelta(xcvrs []*platform.Transceiver, lead floa
 			switch {
 			case j >= len(g) || (i < len(e.last) && idLess(e.last[i].ID, g[j].ID)):
 				d.Removed++
-				d.RemovedIDs = append(d.RemovedIDs, e.last[i].ID)
 				i++
 			case i >= len(e.last) || idLess(g[j].ID, e.last[i].ID):
 				d.Added++
-				d.AddedIDs = append(d.AddedIDs, g[j].ID)
 				j++
 			default:
 				if sameReport(&e.last[i], g[j]) {
 					d.Unchanged++
 				} else {
 					d.Changed++
-					d.ChangedIDs = append(d.ChangedIDs, g[j].ID)
 				}
 				i++
 				j++

@@ -62,9 +62,6 @@ func TestCandidateGraphDeltaCrossValidation(t *testing.T) {
 				t.Fatalf("%s: delta %+v; recomputed add=%d rem=%d chg=%d unchg=%d",
 					label, d, added, removed, changed, unchanged)
 			}
-			if len(d.AddedIDs) != added || len(d.RemovedIDs) != removed || len(d.ChangedIDs) != changed {
-				t.Fatalf("%s: ID list lengths disagree with counts: %+v", label, d)
-			}
 		}
 		// Snapshot prev by value before the next evaluation reuses
 		// anything.
@@ -90,7 +87,7 @@ func TestCandidateGraphDeltaCrossValidation(t *testing.T) {
 // TestCandidateGraphDeltaChurnIsPartial guards the warm-solve premise:
 // on a gently drifting fleet the per-cycle edge churn is a strict
 // subset of the graph (if everything churned, warm solves would never
-// reuse anything).
+// reuse anything), and it is exactly the moved balloon's edges.
 func TestCandidateGraphDeltaChurnIsPartial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	nodes, xs := randomFleet(rng, 20)
@@ -98,6 +95,10 @@ func TestCandidateGraphDeltaChurnIsPartial(t *testing.T) {
 	g, _ := ev.CandidateGraphDelta(xs, 0)
 	if len(g) == 0 {
 		t.Fatal("no candidates")
+	}
+	before := make(map[radio.LinkID]Report, len(g))
+	for _, r := range g {
+		before[r.ID] = *r
 	}
 	// One balloon moves; everyone else holds still.
 	alt := nodes[0].Balloon.Pos.Alt
@@ -113,12 +114,40 @@ func TestCandidateGraphDeltaChurnIsPartial(t *testing.T) {
 	if d.Unchanged == 0 || d.Churn() >= len(g2) {
 		t.Fatalf("churn must be partial: %+v over %d candidates", d, len(g2))
 	}
-	// LinkID components are transceiver IDs ("node/xcvr-N").
+	// The churned IDs, diffed here from the two graphs: every one must
+	// touch the moved balloon (LinkID components are transceiver IDs,
+	// "node/xcvr-N"), and their tallies must be the delta's counts.
 	moved := nodes[0].ID + "/"
-	for _, id := range append(append([]radio.LinkID{}, d.AddedIDs...), d.ChangedIDs...) {
-		if !strings.HasPrefix(id.A, moved) && !strings.HasPrefix(id.B, moved) {
-			t.Fatalf("churned edge %v does not touch the moved balloon", id)
+	touches := func(id radio.LinkID) bool {
+		return strings.HasPrefix(id.A, moved) || strings.HasPrefix(id.B, moved)
+	}
+	var added, removed, changed int
+	after := make(map[radio.LinkID]bool, len(g2))
+	for _, r := range g2 {
+		after[r.ID] = true
+		old, ok := before[r.ID]
+		switch {
+		case !ok:
+			added++
+		case old == *r: //minkowski:floateq-ok delta identity: unchanged means bitwise-equal report
+			continue
+		default:
+			changed++
 		}
+		if !touches(r.ID) {
+			t.Fatalf("churned edge %v does not touch the moved balloon", r.ID)
+		}
+	}
+	for id := range before {
+		if !after[id] {
+			removed++
+			if !touches(id) {
+				t.Fatalf("removed edge %v does not touch the moved balloon", id)
+			}
+		}
+	}
+	if d.Added != added || d.Removed != removed || d.Changed != changed {
+		t.Fatalf("delta %+v; test-side diff add=%d rem=%d chg=%d", d, added, removed, changed)
 	}
 }
 

@@ -138,12 +138,13 @@ func (e *Evaluator) incrementalGraph(xcvrs []*platform.Transceiver, lead float64
 	e.evalSeq++
 
 	// Sweep cache entries from dead epochs: they can never hit again.
+	// Entries are only written here, stamped with the epoch of the
+	// graph that wrote them, and every graph since the last sweep ran
+	// at lastPurgeEpoch; the epoch only counts up. So once it has
+	// moved, every entry is dead and the sweep is a clear
+	// (TestEpochPurgeFindsOnlyDeadEntries pins this).
 	if scr.lastPurgeEpoch != e.weatherEpoch {
-		for id, ent := range e.cache {
-			if ent.epoch != e.weatherEpoch {
-				delete(e.cache, id)
-			}
-		}
+		clear(e.cache)
 		scr.lastPurgeEpoch = e.weatherEpoch
 	}
 

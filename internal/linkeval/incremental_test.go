@@ -161,6 +161,60 @@ func TestForcedEpochBumpReEvaluates(t *testing.T) {
 	compareGraphs(t, "epoch-bump", g2, g1)
 }
 
+// TestEpochPurgeFindsOnlyDeadEntries pins the invariant that lets the
+// epoch sweep be a plain clear: whenever the weather epoch has moved
+// since the last sweep, every cached entry belongs to an older epoch,
+// and after each graph every entry belongs to the current one. Graphs
+// and horizons run over a drifting fleet with zero, one or two epoch
+// bumps in between, and a DropCache midway.
+func TestEpochPurgeFindsOnlyDeadEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	nodes, xs := randomFleet(rng, 16)
+	e := New(DefaultConfig(), &gradientRain{}, nil)
+	swept := 0
+	for step := 0; step < 24; step++ {
+		if e.scr.lastPurgeEpoch != e.weatherEpoch {
+			if len(e.cache) > 0 {
+				swept++
+			}
+			for id, ent := range e.cache {
+				if ent.epoch == e.weatherEpoch {
+					t.Fatalf("step %d: entry %v is from the current epoch %d at sweep time", step, id, ent.epoch)
+				}
+			}
+		}
+		if step%5 == 4 {
+			e.Horizon(xs, []float64{0, 600})
+		} else {
+			e.CandidateGraph(xs, 0)
+		}
+		if e.CacheLen() == 0 {
+			t.Fatalf("step %d: vacuous: empty cache after a graph", step)
+		}
+		for id, ent := range e.cache {
+			if ent.epoch != e.weatherEpoch {
+				t.Fatalf("step %d: entry %v has epoch %d after a graph at epoch %d", step, id, ent.epoch, e.weatherEpoch)
+			}
+		}
+		for i, n := range nodes {
+			if (i+step)%3 == 0 {
+				alt := n.Balloon.Pos.Alt
+				n.Balloon.Pos = geo.Offset(n.Balloon.Pos, geo.Deg(rng.Float64()*360), 500+3000*rng.Float64())
+				n.Balloon.Pos.Alt = alt
+			}
+		}
+		for b := rng.Intn(3); b > 0; b-- {
+			e.BumpWeatherEpoch()
+		}
+		if step == 12 {
+			e.DropCache()
+		}
+	}
+	if swept == 0 {
+		t.Fatal("vacuous: no sweep found a populated cache")
+	}
+}
+
 // TestDisplacementEpsilonCacheInvalidation pins the cache-invalidation
 // boundary: inside DisplacementEpsM a cached report (with its stale
 // geometry) is served; beyond it, or on a weather-epoch bump, the pair

@@ -1,16 +1,20 @@
 package solver
 
+import "math"
+
 // The solve pipeline's shortest-path core. This replaces the seed's
 // map-keyed Dijkstra with index arrays and a concrete (non-interface)
 // binary heap, but it is deliberately NOT free to pick its own
 // tie-breaks: the heap reproduces container/heap's exact sift
 // algorithm with the seed's dist-only ordering, relaxation uses the
 // seed's strict-< rule, and adjacency is scanned in candidate-index
-// order. Every comparison and swap the seed implementation performed
-// happens here in the same sequence, so the popped-node order — and
-// therefore the chosen path, including equal-cost ties — is identical
-// to `SolveReference` step by step. The equivalence property tests
-// (solver_equivalence_test.go) pin this.
+// order. The scan skips only edges that provably cannot pass the
+// relaxation test (rebuildPruned), so every push, comparison and swap
+// the seed implementation performed happens here in the same
+// sequence, and the popped-node order — and therefore the chosen
+// path, including equal-cost ties — is identical to `SolveReference`
+// step by step. The equivalence property tests (equivalence_test.go)
+// pin this.
 
 // heapItem is one Dijkstra frontier entry.
 type heapItem struct {
@@ -113,9 +117,88 @@ func (s *spScratch) begin() uint32 {
 	return s.stamp
 }
 
-// shortestPath routes request ri over viable ∪ chosen edges (or
-// chosen-only when chosenOnly), writing the edge-index path into
-// c.paths[ri] (reused backing) and the found flag into c.has[ri].
+// adjEntry is one pruned-adjacency slot: an edge that can still win
+// a relaxation out of its row's node, with its cost for the row's
+// bitrate class precomputed.
+type adjEntry struct {
+	next int32 // far endpoint
+	edge int32 // candidate edge index
+	cost float64
+}
+
+// edgeCost is e's path cost for a request with bitrate threshold
+// minBr, in the seed's exact accumulation order.
+func (c *ctx) edgeCost(e *edge, minBr float64) float64 {
+	var cost float64
+	switch {
+	case e.chosen:
+		cost = c.cfg.ChosenLinkCost
+	case e.exist:
+		cost = c.cfg.ExistingLinkCost
+	default:
+		cost = c.cfg.NewLinkCost
+	}
+	if e.marginal {
+		cost += c.cfg.MarginalPenalty
+	}
+	if e.bitrate < minBr {
+		cost += c.cfg.SlowBitratePenalty
+	}
+	if !e.chosen && !e.exist {
+		cost += e.penalty
+	}
+	return cost
+}
+
+// rebuildPruned recomputes node n's pruned adjacency row for every
+// bitrate class (DESIGN.md §10 "Pruned adjacency"). Walking adj[n] in
+// order over usable (viable or chosen) edges, an edge e to neighbour
+// v is dropped when an earlier usable edge f to the same v has
+// cost_f <= cost_e: when shortestPath scans f it leaves dist[v] at
+// most cur.dist+cost_f (or v is finalized), and IEEE addition is
+// monotone, so cur.dist+cost_e cannot pass the strict-< relaxation
+// test. The monotonicity step needs the precondition that no cost is
+// -Inf (then +Inf + -Inf = NaN would break it); NaN costs compare
+// false, so they are always kept and never prune. Self-loops are
+// dropped too: their far end is the popped node itself. What is left
+// is each neighbour group's strict prefix minima, in adj order, so
+// the relaxations that push — and therefore the heap's sift sequence,
+// prevEdge and the popped order — are exactly those of a full scan.
+// ws's dist/seen arrays hold the running minimum per neighbour.
+func (c *ctx) rebuildPruned(n int32, ws *spScratch) {
+	for k, minBr := range c.classMin {
+		st := ws.begin()
+		row := c.pruned[k][n][:0]
+		for _, ei := range c.adj[n] {
+			e := &c.edges[ei]
+			if !e.viable && !e.chosen {
+				continue
+			}
+			next := e.a
+			if next == n {
+				next = e.b
+			}
+			if next == n {
+				continue
+			}
+			cost := c.edgeCost(e, minBr)
+			if ws.seen[next] == st && ws.dist[next] <= cost {
+				continue
+			}
+			row = append(row, adjEntry{next: next, edge: ei, cost: cost})
+			if !math.IsNaN(cost) {
+				ws.seen[next] = st
+				ws.dist[next] = cost
+			}
+		}
+		c.pruned[k][n] = row
+	}
+}
+
+// shortestPath routes request ri over viable ∪ chosen edges, walking
+// the pruned adjacency of the request's bitrate class (which must be
+// fresh: see Solver.refreshPruned), and writes the edge-index path
+// into c.paths[ri] (reused backing) and the found flag into c.has[ri].
 // It also maintains c.nilKnown[ri]: true only when the search failed
 // WITHOUT ever hitting the MaxPathLen cutoff — such a search has
 // exhausted the source's connected component, so the nil outcome is
@@ -128,7 +211,7 @@ func (s *spScratch) begin() uint32 {
 // SolveReference exactly; see the package comment in this file.
 //
 //minkowski:hotpath
-func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch, record bool) {
+func (c *ctx) shortestPath(ri int32, ws *spScratch, record bool) {
 	rq := &c.reqs[ri]
 	out := c.paths[ri][:0]
 	if rq.srcIsDst {
@@ -142,10 +225,7 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch, record bool
 	ws.seen[rq.src] = st
 	ws.heap.push(heapItem{dist: 0, node: rq.src, hops: 0})
 	maxHops := int32(c.cfg.MaxPathLen)
-	adj := c.adj
-	if chosenOnly {
-		adj = c.chosenAdj
-	}
+	rows := c.pruned[rq.cls]
 	for len(ws.heap) > 0 {
 		cur := ws.heap.pop()
 		if ws.done[cur.node] == st {
@@ -181,44 +261,16 @@ func (c *ctx) shortestPath(ri int32, chosenOnly bool, ws *spScratch, record bool
 			ws.capped = true
 			continue
 		}
-		for _, ei := range adj[cur.node] {
-			e := &c.edges[ei]
-			if chosenOnly {
-				// chosenAdj already contains only chosen edges.
-			} else if !e.viable && !e.chosen {
-				continue
-			}
-			next := e.a
-			if next == cur.node {
-				next = e.b
-			}
+		for _, pe := range rows[cur.node] {
+			next := pe.next
 			if ws.done[next] == st {
 				continue
 			}
-			// Edge cost, in the seed's exact accumulation order.
-			var cost float64
-			switch {
-			case e.chosen:
-				cost = c.cfg.ChosenLinkCost
-			case e.exist:
-				cost = c.cfg.ExistingLinkCost
-			default:
-				cost = c.cfg.NewLinkCost
-			}
-			if e.marginal {
-				cost += c.cfg.MarginalPenalty
-			}
-			if e.bitrate < rq.minBr {
-				cost += c.cfg.SlowBitratePenalty
-			}
-			if !e.chosen && !e.exist {
-				cost += e.penalty
-			}
-			nd := cur.dist + cost
+			nd := cur.dist + pe.cost
 			if ws.seen[next] != st || nd < ws.dist[next] {
 				ws.seen[next] = st
 				ws.dist[next] = nd
-				ws.prevEdge[next] = ei
+				ws.prevEdge[next] = pe.edge
 				ws.prevNode[next] = cur.node
 				ws.heap.push(heapItem{dist: nd, node: next, hops: cur.hops + 1})
 			}
@@ -276,25 +328,7 @@ func (c *ctx) finalRoute(ri int32, ws *spScratch) ([]string, bool) {
 			if ws.done[next] == st {
 				continue
 			}
-			var cost float64
-			switch {
-			case e.chosen:
-				cost = c.cfg.ChosenLinkCost
-			case e.exist:
-				cost = c.cfg.ExistingLinkCost
-			default:
-				cost = c.cfg.NewLinkCost
-			}
-			if e.marginal {
-				cost += c.cfg.MarginalPenalty
-			}
-			if e.bitrate < rq.minBr {
-				cost += c.cfg.SlowBitratePenalty
-			}
-			if !e.chosen && !e.exist {
-				cost += e.penalty
-			}
-			nd := cur.dist + cost
+			nd := cur.dist + c.edgeCost(e, rq.minBr)
 			if ws.seen[next] != st || nd < ws.dist[next] {
 				ws.seen[next] = st
 				ws.dist[next] = nd

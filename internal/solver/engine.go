@@ -38,6 +38,7 @@ type reqView struct {
 	src, dst int32 // node indices; dst < 0 means "any gateway"
 	srcIsDst bool
 	minBr    float64
+	cls      int32   // bitrate class: index into ctx.classMin / ctx.pruned
 	util     float64 // per-path-edge utility contribution, max(minBr, 1)
 }
 
@@ -55,6 +56,16 @@ type ctx struct {
 	chosenAdj [][]int32 // final-phase view: chosen edges only
 	chanMask  []uint16  // per node: bit k = channels[k] in use
 	channels  []rf.Channel
+
+	// Pruned adjacency (dijkstra.go rebuildPruned): one bitrate class
+	// per distinct request MinBitrateBps (by bits), and per class and
+	// node the edges that can still win a relaxation. A node's rows
+	// go stale when an incident edge is chosen or made inviable and
+	// are rebuilt before the next Dijkstra batch.
+	classMin  []float64
+	pruned    [][][]adjEntry // class -> node -> entries
+	stale     []bool         // per node: pruned rows out of date
+	staleList []int32
 
 	reqs     []reqView
 	util     []float64
@@ -82,6 +93,26 @@ func (c *ctx) internNode(id string) int32 {
 	c.nodes = append(c.nodes, id)
 	c.nodeOf[id] = i
 	return i
+}
+
+// classOf returns the bitrate class of threshold minBr, adding one
+// when no class has these exact bits.
+func (c *ctx) classOf(minBr float64) int32 {
+	for k, m := range c.classMin {
+		if f64bits(m, minBr) {
+			return int32(k)
+		}
+	}
+	c.classMin = append(c.classMin, minBr)
+	return int32(len(c.classMin) - 1)
+}
+
+// markStale queues node n's pruned rows for rebuild.
+func (c *ctx) markStale(n int32) {
+	if !c.stale[n] {
+		c.stale[n] = true
+		c.staleList = append(c.staleList, n)
+	}
 }
 
 // reset rebuilds the ctx for one solve.
@@ -131,6 +162,12 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 	}
 	c.adj = growRows(c.adj, nV)
 	c.chosenAdj = growRows(c.chosenAdj, nV)
+	c.stale = growBool(c.stale, nV)
+	c.staleList = c.staleList[:0]
+	for i := range c.stale {
+		c.stale[i] = true
+		c.staleList = append(c.staleList, int32(i))
+	}
 	for i := range c.edges {
 		e := &c.edges[i]
 		c.adj[e.a] = append(c.adj[e.a], int32(i))
@@ -142,6 +179,7 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 
 	nR := len(in.Requests)
 	c.reqs = growReq(c.reqs, nR)
+	c.classMin = c.classMin[:0]
 	for i, r := range in.Requests {
 		rq := &c.reqs[i]
 		rq.src = c.nodeOf[r.Src]
@@ -153,9 +191,14 @@ func (c *ctx) reset(cfg Config, in *Input, workers int) {
 			rq.srcIsDst = c.gw[rq.src]
 		}
 		rq.minBr = r.MinBitrateBps
+		rq.cls = c.classOf(r.MinBitrateBps)
 		rq.util = math.Max(r.MinBitrateBps, 1)
 	}
-	c.paths = growPaths(c.paths, nR)
+	c.pruned = growRows(c.pruned, len(c.classMin))
+	for k := range c.pruned {
+		c.pruned[k] = growRows(c.pruned[k], nV)
+	}
+	c.paths = growRows(c.paths, nR)
 	c.has = growBool(c.has, nR)
 	c.nilKnown = growBool(c.nilKnown, nR)
 	c.reused = growBool(c.reused, nR)
@@ -233,22 +276,10 @@ func growReq(s []reqView, n int) []reqView {
 	return s[:n]
 }
 
-func growRows(s [][]int32, n int) [][]int32 {
+// growRows resizes s to n empty rows, keeping each row's backing.
+func growRows[T any](s [][]T, n int) [][]T {
 	if cap(s) < n {
-		ns := make([][]int32, n)
-		copy(ns, s[:min(len(s), n)])
-		s = ns
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	return s
-}
-
-func growPaths(s [][]int32, n int) [][]int32 {
-	if cap(s) < n {
-		ns := make([][]int32, n)
+		ns := make([][]T, n)
 		copy(ns, s[:min(len(s), n)])
 		s = ns
 	}
@@ -288,17 +319,26 @@ func (s *Solver) workerCount(items int) int {
 }
 
 // forEach runs fn(0..n-1) across the worker pool in contiguous index
-// chunks. Every task writes only its own index slot, so the merge is
-// the slot layout itself: results are position-determined and
-// identical at any worker count. Falls back to a serial sweep for
-// single-worker configs and trivial batches.
+// chunks, counting each worker's tasks into lastShardLoads. Every
+// task writes only its own index slot, so the merge is the slot
+// layout itself: results are position-determined and identical at
+// any worker count. Falls back to a serial sweep for single-worker
+// configs and trivial batches.
 func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
+	s.fanOut(n, s.lastShardLoads, fn)
+}
+
+// fanOut is forEach with the per-worker task counts added to loads,
+// or not recorded when loads is nil.
+func (s *Solver) fanOut(n int, loads []int, fn func(i int, ws *spScratch)) {
 	if n == 0 {
 		return
 	}
 	w := s.workerCount(n)
 	if w <= 1 || n <= 2 {
-		s.lastShardLoads[0] += n
+		if loads != nil {
+			loads[0] += n
+		}
 		ws := &s.c.workers[0]
 		for i := 0; i < n; i++ {
 			fn(i, ws)
@@ -313,7 +353,9 @@ func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
 			break
 		}
 		hi := min(lo+chunk, n)
-		s.lastShardLoads[wk] += hi - lo
+		if loads != nil {
+			loads[wk] += hi - lo
+		}
 		wg.Add(1)
 		go func(lo, hi int, ws *spScratch) {
 			defer wg.Done()
@@ -323,6 +365,22 @@ func (s *Solver) forEach(n int, fn func(i int, ws *spScratch)) {
 		}(lo, hi, &s.c.workers[wk])
 	}
 	wg.Wait()
+}
+
+// refreshPruned rebuilds the pruned adjacency rows of every stale
+// node, one node per task. A task writes only its own node's rows, so
+// the rebuild is race-free at any worker count. Rebuilds are not
+// routing tasks and stay out of lastShardLoads.
+func (s *Solver) refreshPruned() {
+	c := &s.c
+	stale := c.staleList
+	s.fanOut(len(stale), nil, func(k int, ws *spScratch) {
+		c.rebuildPruned(stale[k], ws)
+	})
+	for _, n := range stale {
+		c.stale[n] = false
+	}
+	c.staleList = stale[:0]
 }
 
 // run is the optimized solve pipeline: initial routing (warm-reused
@@ -357,9 +415,12 @@ func (s *Solver) run(in *Input, w *Warm) *Plan {
 	}
 	record := w != nil
 	todo := c.initTodo
+	if len(todo) > 0 {
+		s.refreshPruned()
+	}
 	s.forEach(len(todo), func(k int, ws *spScratch) {
 		ri := todo[k]
-		c.shortestPath(ri, false, ws, record)
+		c.shortestPath(ri, ws, record)
 		if record {
 			// Snapshot the popped-node IDs for warm bookkeeping.
 			p := c.popped[ri][:0]
@@ -405,7 +466,7 @@ func (s *Solver) run(in *Input, w *Warm) *Plan {
 			break
 		}
 		if !c.choose(plan, best, false) {
-			c.edges[best].viable = false
+			c.drop(best)
 		}
 		// Collect requests whose path lost an edge, plus pathless
 		// requests not yet proven permanently unreachable; re-route
@@ -436,8 +497,11 @@ func (s *Solver) run(in *Input, w *Warm) *Plan {
 			}
 		}
 		brk := c.broken
+		if len(brk) > 0 {
+			s.refreshPruned()
+		}
 		s.forEach(len(brk), func(k int, ws *spScratch) {
-			c.shortestPath(brk[k], false, ws, false)
+			c.shortestPath(brk[k], ws, false)
 		})
 	}
 
@@ -486,6 +550,8 @@ func (s *Solver) run(in *Input, w *Warm) *Plan {
 }
 
 // choose commits an edge: channel assignment + conflict elimination.
+// Every edge it re-costs or makes inviable queues its endpoints'
+// pruned rows for rebuild.
 func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 	e := &c.edges[idx]
 	ch, chBit, ok := c.pickChannel(e)
@@ -496,6 +562,8 @@ func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 	e.chanID = ch.ID
 	c.chanMask[e.a] |= chBit
 	c.chanMask[e.b] |= chBit
+	c.markStale(e.a)
+	c.markStale(e.b)
 	plan.Links = append(plan.Links, Chosen{
 		Report: e.rep, Channel: ch,
 		Redundant:        redundant,
@@ -510,11 +578,20 @@ func (c *ctx) choose(plan *Plan, idx int32, redundant bool) bool {
 			}
 			if o.rep.XA == e.rep.XA || o.rep.XA == e.rep.XB ||
 				o.rep.XB == e.rep.XA || o.rep.XB == e.rep.XB {
-				o.viable = false
+				c.drop(oi)
 			}
 		}
 	}
 	return true
+}
+
+// drop makes edge i inviable (a failed channel pick or a transceiver
+// conflict) and queues its endpoints' pruned rows for rebuild.
+func (c *ctx) drop(i int32) {
+	e := &c.edges[i]
+	e.viable = false
+	c.markStale(e.a)
+	c.markStale(e.b)
 }
 
 // pickChannel returns the lowest channel unused at both endpoint
@@ -582,7 +659,7 @@ func (c *ctx) addRedundancy(plan *Plan) {
 			break
 		}
 		if !c.choose(plan, best, true) {
-			c.edges[best].viable = false
+			c.drop(best)
 			added--
 			continue
 		}

@@ -9,6 +9,9 @@ package solver
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"minkowski/internal/flight"
@@ -441,4 +444,387 @@ func TestSolveAndReferenceMatchLegacyScenarios(t *testing.T) {
 	if got, want := s.Solve(in).Fingerprint(), s.SolveReference(in).Fingerprint(); got != want {
 		t.Fatalf("legacy drained-world diverged")
 	}
+}
+
+// --- Bitrate classes and the pruned adjacency ------------------------
+
+// classNode makes a node with nx transceivers named "<id>/x<k>".
+func classNode(id string, nx int) *platform.Node {
+	n := &platform.Node{ID: id, Kind: platform.KindBalloon}
+	for i := 0; i < nx; i++ {
+		n.Xcvrs = append(n.Xcvrs, &platform.Transceiver{ID: fmt.Sprintf("%s/x%d", id, i), Node: n})
+	}
+	return n
+}
+
+// classRep makes a candidate between two transceivers.
+func classRep(xa, xb *platform.Transceiver, bitrate float64, marginal bool) *linkeval.Report {
+	r := &linkeval.Report{
+		ID: radio.MakeLinkID(xa.ID, xb.ID), XA: xa, XB: xb,
+		Budget: rf.Budget{BitrateBps: bitrate, MarginDB: 4 + bitrate/50e6},
+	}
+	if marginal {
+		r.Class = rf.Marginal
+	}
+	return r
+}
+
+// sortByID puts candidates in the evaluator's output order.
+func sortByID(reps []*linkeval.Report) {
+	sort.Slice(reps, func(i, j int) bool { return ltID(reps[i].ID, reps[j].ID) })
+}
+
+// randomClassWorld draws a solve Input built to stress the pruned
+// adjacency: nodes with 1–4 transceivers, parallel transceiver-pair
+// groups whose costs repeat, fall and rise in adjacency order
+// (bitrates on both sides of the request thresholds, marginal flags,
+// existing links, finite and +Inf penalties), the odd self-loop, a
+// drained node, a random hop cap, and requests over two to three
+// MinBitrateBps classes, one of which equals a candidate bitrate.
+func randomClassWorld(rng *rand.Rand, nNodes int) (Input, Config) {
+	bitrates := []float64{30e6, 50e6, 70e6, 120e6}
+	thresholds := []float64{50e6, 60e6, 100e6}
+	penalties := []float64{0.5, 1.2, 2.2, math.Inf(1)}
+	nodes := make([]*platform.Node, nNodes)
+	for i := range nodes {
+		nodes[i] = classNode(fmt.Sprintf("n%02d", i), 1+rng.Intn(4))
+	}
+	var reps []*linkeval.Report
+	for i := range nodes {
+		for j := i; j < nNodes; j++ {
+			xi, xj := nodes[i].Xcvrs, nodes[j].Xcvrs
+			if i == j {
+				if len(xi) >= 2 && rng.Intn(12) == 0 {
+					reps = append(reps, classRep(xi[0], xi[1], bitrates[rng.Intn(len(bitrates))], false))
+				}
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			pairs := rng.Perm(len(xi) * len(xj))
+			for _, p := range pairs[:1+rng.Intn(min(len(pairs), 6))] {
+				reps = append(reps, classRep(xi[p/len(xj)], xj[p%len(xj)],
+					bitrates[rng.Intn(len(bitrates))], rng.Intn(4) == 0))
+			}
+		}
+	}
+	sortByID(reps)
+	in := Input{
+		Candidates: reps,
+		Existing:   map[radio.LinkID]bool{},
+		Penalties:  map[radio.LinkID]float64{},
+		Gateways:   []string{nodes[0].ID},
+	}
+	if nNodes > 4 {
+		in.Gateways = append(in.Gateways, nodes[1].ID)
+	}
+	for _, r := range reps {
+		if rng.Intn(3) == 0 {
+			in.Existing[r.ID] = true
+		}
+		if rng.Intn(3) == 0 {
+			in.Penalties[r.ID] = penalties[rng.Intn(len(penalties))]
+		}
+	}
+	if rng.Intn(6) == 0 {
+		in.Drained = map[string]bool{nodes[len(nodes)-1].ID: true}
+	}
+	for i := len(in.Gateways); i < nNodes; i++ {
+		r := Request{ID: "req/" + nodes[i].ID, Src: nodes[i].ID,
+			MinBitrateBps: thresholds[(i+rng.Intn(2))%len(thresholds)]}
+		if rng.Intn(4) == 0 {
+			r.Dst = nodes[rng.Intn(nNodes)].ID
+		}
+		in.Requests = append(in.Requests, r)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxPathLen = []int{2, 3, 12}[rng.Intn(3)]
+	return in, cfg
+}
+
+// checkEngineMatchesReference solves in cold at several worker counts
+// and through a two-cycle warm chain, and compares every plan with
+// SolveReference.
+func checkEngineMatchesReference(t *testing.T, label string, in Input, cfg Config) {
+	t.Helper()
+	want := New(cfg).SolveReference(in).Fingerprint()
+	for _, workers := range []int{1, 2, 8} {
+		cw := cfg
+		cw.Workers = workers
+		if got := New(cw).Solve(in).Fingerprint(); got != want {
+			t.Fatalf("%s: cold engine (workers=%d) diverged\nengine:\n%s\nreference:\n%s", label, workers, got, want)
+		}
+		s, warm := New(cw), NewWarm()
+		for cyc := 0; cyc < 2; cyc++ {
+			if got := s.SolveWarm(in, warm).Fingerprint(); got != want {
+				t.Fatalf("%s: warm cycle %d (workers=%d) diverged\nengine:\n%s\nreference:\n%s", label, cyc, workers, got, want)
+			}
+		}
+	}
+}
+
+// prunedOracle is rebuildPruned's specification written out
+// directly: the usable, non-self-loop edges of adj[n] in order, each
+// kept unless an earlier usable edge to the same neighbour costs no
+// more.
+func prunedOracle(c *ctx, n int32, minBr float64) []adjEntry {
+	far := func(e *edge) int32 {
+		if e.a == n {
+			return e.b
+		}
+		return e.a
+	}
+	var out []adjEntry
+	adj := c.adj[n]
+	for i, ei := range adj {
+		e := &c.edges[ei]
+		if (!e.viable && !e.chosen) || far(e) == n {
+			continue
+		}
+		cost := c.edgeCost(e, minBr)
+		keep := true
+		for _, fi := range adj[:i] {
+			f := &c.edges[fi]
+			if (f.viable || f.chosen) && far(f) == far(e) && c.edgeCost(f, minBr) <= cost {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			out = append(out, adjEntry{next: far(e), edge: ei, cost: cost})
+		}
+	}
+	return out
+}
+
+// checkPruned compares every class's pruned rows with the oracle and
+// returns how many usable edge slots the rows dropped and how many
+// neighbour groups kept more than one edge.
+func checkPruned(t *testing.T, label string, c *ctx) (dropped, multi int) {
+	t.Helper()
+	for k, minBr := range c.classMin {
+		for n := range c.adj {
+			got, want := c.pruned[k][n], prunedOracle(c, int32(n), minBr)
+			if len(got) != len(want) {
+				t.Fatalf("%s: class %v node %s: %d pruned entries, oracle keeps %d\ngot  %v\nwant %v",
+					label, minBr, c.nodes[n], len(got), len(want), got, want)
+			}
+			for i := range got {
+				if got[i].next != want[i].next || got[i].edge != want[i].edge ||
+					math.Float64bits(got[i].cost) != math.Float64bits(want[i].cost) {
+					t.Fatalf("%s: class %v node %s entry %d: %+v, oracle %+v", label, minBr, c.nodes[n], i, got[i], want[i])
+				}
+			}
+			usable := 0
+			for _, ei := range c.adj[n] {
+				if e := &c.edges[ei]; (e.viable || e.chosen) && e.a != e.b {
+					usable++
+				}
+			}
+			dropped += usable - len(got)
+			per := map[int32]int{}
+			for _, pe := range got {
+				per[pe.next]++
+				if per[pe.next] == 2 {
+					multi++
+				}
+			}
+		}
+	}
+	return dropped, multi
+}
+
+// TestPrunedAdjacencyMatchesOracle holds the pruned rows to their
+// specification after the initial build and after every greedy step
+// (commits that re-cost an edge and make its transceiver conflicts
+// inviable, failed channel picks), refreshed over two workers so the
+// race detector sees the parallel rebuild. Non-vacuous: rows must
+// both drop edges and keep several edges to one neighbour.
+func TestPrunedAdjacencyMatchesOracle(t *testing.T) {
+	dropped, multi, steps := 0, 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in, cfg := randomClassWorld(rng, 5+int(seed%6))
+		s := New(cfg)
+		c := &s.c
+		c.reset(cfg, &in, 2)
+		if len(c.classMin) < 2 {
+			t.Fatalf("seed %d: %d bitrate classes, want at least 2", seed, len(c.classMin))
+		}
+		s.refreshPruned()
+		d, m := checkPruned(t, fmt.Sprintf("seed %d initial", seed), c)
+		dropped, multi = dropped+d, multi+m
+		plan := &Plan{}
+		for step := 0; ; step++ {
+			var open []int32
+			for i := range c.edges {
+				if e := &c.edges[i]; e.viable && !e.chosen {
+					open = append(open, int32(i))
+				}
+			}
+			if len(open) == 0 {
+				break
+			}
+			idx := open[rng.Intn(len(open))]
+			if !c.choose(plan, idx, false) {
+				c.drop(idx)
+			}
+			if rng.Intn(3) == 0 {
+				continue // let changes pile up across steps
+			}
+			s.refreshPruned()
+			d, m := checkPruned(t, fmt.Sprintf("seed %d step %d", seed, step), c)
+			dropped, multi, steps = dropped+d, multi+m, steps+1
+		}
+	}
+	if dropped == 0 || multi == 0 || steps == 0 {
+		t.Fatalf("vacuous: dropped=%d multi-edge groups=%d checked steps=%d", dropped, multi, steps)
+	}
+}
+
+// TestEngineMatchesReferenceBitrateClasses is the named case for the
+// pruned adjacency: one world whose parallel groups are equal-cost,
+// falling and rising in adjacency order, straddle a request threshold,
+// and carry +Inf penalties, solved for requests in three bitrate
+// classes. The rows must have the expected shape, and the engine
+// must match the reference cold, warm and at every worker count,
+// also across cycles whose existing-link set follows the plan.
+func TestEngineMatchesReferenceBitrateClasses(t *testing.T) {
+	g, a, b := classNode("g", 4), classNode("a", 4), classNode("b", 4)
+	cc, d := classNode("c", 4), classNode("d", 2)
+	type group struct {
+		name      string
+		u, v      *platform.Node
+		penalties []float64 // by position in adjacency order
+		bitrates  []float64 // likewise; nil = 120e6 for all
+	}
+	inf := math.Inf(1)
+	groups := []group{
+		{"equal", g, a, []float64{0, 0, 0}, nil},
+		{"falling", a, b, []float64{2, 1, 0}, nil},
+		{"rising", b, g, []float64{0, 1, 2}, nil},
+		{"threshold", a, cc, []float64{0, 0}, []float64{40e6, 80e6}},
+		{"inf", cc, g, []float64{inf, 1, inf}, nil},
+		{"all-inf", cc, d, []float64{inf, inf}, nil},
+	}
+	in := Input{Penalties: map[radio.LinkID]float64{}, Gateways: []string{"g"}}
+	members := make([][]*linkeval.Report, len(groups))
+	for gi, gr := range groups {
+		for i := range gr.penalties {
+			r := classRep(gr.u.Xcvrs[i], gr.v.Xcvrs[i], 120e6, false)
+			members[gi] = append(members[gi], r)
+			in.Candidates = append(in.Candidates, r)
+		}
+		sortByID(members[gi])
+		for i, r := range members[gi] {
+			if p := gr.penalties[i]; p != 0 {
+				in.Penalties[r.ID] = p
+			}
+			if gr.bitrates != nil {
+				r.Budget.BitrateBps = gr.bitrates[i]
+			}
+		}
+	}
+	sortByID(in.Candidates)
+	in.Requests = []Request{
+		{ID: "a", Src: "a", MinBitrateBps: 10e6},
+		{ID: "b", Src: "b", MinBitrateBps: 60e6},
+		{ID: "c", Src: "c", MinBitrateBps: 100e6},
+		{ID: "d", Src: "d", MinBitrateBps: 60e6},
+		{ID: "b-c", Src: "b", Dst: "c", MinBitrateBps: 10e6},
+	}
+
+	// Row shape: edges kept from u toward v, per class threshold.
+	s := New(DefaultConfig())
+	c := &s.c
+	c.reset(s.cfg, &in, 1)
+	s.refreshPruned()
+	checkPruned(t, "named world", c)
+	kept := func(u, v *platform.Node, minBr float64) int {
+		k := c.classOf(minBr)
+		n := 0
+		for _, pe := range c.pruned[k][c.nodeOf[u.ID]] {
+			if pe.next == c.nodeOf[v.ID] {
+				n++
+			}
+		}
+		return n
+	}
+	for _, want := range []struct {
+		name  string
+		u, v  *platform.Node
+		minBr float64
+		n     int
+	}{
+		{"equal", g, a, 10e6, 1},
+		{"falling", a, b, 10e6, 3},
+		{"falling, reverse direction", b, a, 60e6, 3},
+		{"rising", b, g, 60e6, 1},
+		{"threshold below both", a, cc, 10e6, 1},
+		{"threshold between", a, cc, 60e6, 2},
+		{"threshold above both", a, cc, 100e6, 1},
+		{"inf then finite", cc, g, 100e6, 2},
+		{"all inf", cc, d, 60e6, 1},
+	} {
+		if got := kept(want.u, want.v, want.minBr); got != want.n {
+			t.Errorf("%s: %s->%s class %v keeps %d edges, want %d", want.name, want.u.ID, want.v.ID, want.minBr, got, want.n)
+		}
+	}
+	if len(c.classMin) != 3 {
+		t.Fatalf("%d bitrate classes, want 3", len(c.classMin))
+	}
+
+	cfg := DefaultConfig()
+	existing := map[radio.LinkID]bool{}
+	for cyc := 0; cyc < 3; cyc++ {
+		in.Existing = existing
+		checkEngineMatchesReference(t, fmt.Sprintf("cycle %d", cyc), in, cfg)
+		existing = existingFrom(New(cfg).SolveReference(in))
+	}
+}
+
+// TestEngineMatchesReferenceRandomClasses runs random multi-class
+// worlds (randomClassWorld) as multi-cycle chains: each cycle's
+// existing links are the previous plan's and the penalties shift, and
+// the engine must match the reference on every cycle.
+func TestEngineMatchesReferenceRandomClasses(t *testing.T) {
+	routed, multiHop, unsat := 0, 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in, cfg := randomClassWorld(rng, 4+int(seed%9))
+		for cyc := 0; cyc < 3; cyc++ {
+			checkEngineMatchesReference(t, fmt.Sprintf("seed %d cycle %d", seed, cyc), in, cfg)
+			ref := New(cfg).SolveReference(in)
+			for _, r := range ref.Routes {
+				routed++
+				if len(r) > 2 {
+					multiHop++
+				}
+			}
+			unsat += len(ref.Unsatisfied)
+			in.Existing = existingFrom(ref)
+			if len(in.Candidates) > 0 {
+				id := in.Candidates[rng.Intn(len(in.Candidates))].ID
+				in.Penalties[id] = float64(rng.Intn(4))
+			}
+		}
+	}
+	if routed == 0 || multiHop == 0 || unsat == 0 {
+		t.Fatalf("vacuous: routed=%d multi-hop=%d unsatisfied=%d", routed, multiHop, unsat)
+	}
+}
+
+// FuzzEngineMatchesReference: any random multi-class world must
+// solve to the reference's plan, cold and warm, at every worker count.
+func FuzzEngineMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 1 << 40} {
+		f.Add(seed, uint8(6))
+		f.Add(seed, uint8(11))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nodes uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		in, cfg := randomClassWorld(rng, 3+int(nodes%12))
+		checkEngineMatchesReference(t, fmt.Sprintf("seed %d nodes %d", seed, 3+nodes%12), in, cfg)
+	})
 }

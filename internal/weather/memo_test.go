@@ -1,8 +1,10 @@
 package weather
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"minkowski/internal/geo"
@@ -88,5 +90,81 @@ func TestInjectCellInvalidatesMemo(t *testing.T) {
 	}
 	if math.Float64bits(after) != math.Float64bits(f.pathAttenuation(80, gs, bln)) {
 		t.Fatal("memoised value differs from the integration after InjectCell")
+	}
+}
+
+// forecastRateDirect is Forecast.EstimateRain's body without the
+// per-time advection cache: every cell advected on every call.
+func forecastRateDirect(f *Forecast, p geo.LLA) float64 {
+	now := f.field.Now()
+	total := 0.0
+	for _, c := range f.cells {
+		if p.Alt > c.TopAltM {
+			continue
+		}
+		adv := *c
+		adv.Center = geo.Offset(c.Center, c.HeadRad, c.SpeedMS*(now-f.issuedAt))
+		total += adv.RateAt(p, now)
+	}
+	return total
+}
+
+// TestForecastAdvectionCacheConcurrent holds the forecast's per-time
+// advection cache to the per-call advection bit for bit while several
+// goroutines query it at once, as the evaluator's workers do, across
+// Steps that move the sim time (every Step's first queries race to
+// build the new snapshot). Run it under -race.
+func TestForecastAdvectionCacheConcurrent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CellSpawnPerHour = 20
+	f := NewField(cfg)
+	for i := 0; i < 12; i++ {
+		f.Step(600)
+	}
+	fc := Issue(f, DefaultForecastConfig(), 5)
+	if len(fc.cells) == 0 {
+		t.Fatal("vacuous: forecast has no cells")
+	}
+	rng := rand.New(rand.NewSource(9))
+	r := cfg.Region
+	pts := make([]geo.LLA, 64)
+	for i := range pts {
+		pts[i] = geo.LLADeg(r.LatMinDeg+rng.Float64()*(r.LatMaxDeg-r.LatMinDeg),
+			r.LonMinDeg+rng.Float64()*(r.LonMaxDeg-r.LonMinDeg), 6000*rng.Float64())
+	}
+	const workers = 4
+	rained := false
+	for step := 0; step < 8; step++ {
+		want := make([]uint64, len(pts))
+		for i, p := range pts {
+			v := forecastRateDirect(fc, p)
+			rained = rained || v > 0
+			want[i] = math.Float64bits(v)
+		}
+		errs := make(chan string, workers*len(pts))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := range pts {
+					i := (k + w*len(pts)/workers) % len(pts)
+					got, ok := fc.EstimateRain(pts[i])
+					if !ok || math.Float64bits(got) != want[i] {
+						errs <- fmt.Sprintf("step %d point %d: EstimateRain = %v, %v; per-call advection gives %v",
+							step, i, got, ok, math.Float64frombits(want[i]))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+		f.Step(300)
+	}
+	if !rained {
+		t.Fatal("vacuous: no query point saw forecast rain")
 	}
 }

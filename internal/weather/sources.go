@@ -3,6 +3,7 @@ package weather
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"minkowski/internal/geo"
 	"minkowski/internal/itu"
@@ -83,6 +84,18 @@ type Forecast struct {
 	issuedAt float64
 	field    *Field // for Now() only
 	cells    []*RainCell
+	// adv holds the cells advected to the latest sim time asked for.
+	// EstimateRain runs concurrently from the evaluator's workers, so
+	// each snapshot is immutable and swapped in atomically; workers
+	// racing on a new time build identical snapshots.
+	adv atomic.Pointer[advectedCells]
+}
+
+// advectedCells is the forecast's cells advected from issue time to
+// sim time at.
+type advectedCells struct {
+	at    float64
+	cells []RainCell
 }
 
 // ForecastConfig tunes forecast skill.
@@ -136,17 +149,31 @@ func Issue(field *Field, cfg ForecastConfig, seed int64) *Forecast {
 // the current time.
 func (f *Forecast) EstimateRain(p geo.LLA) (float64, bool) {
 	now := f.field.Now()
+	cells := f.advected(now)
 	total := 0.0
-	for _, c := range f.cells {
+	for i := range cells {
+		c := &cells[i]
 		if p.Alt > c.TopAltM {
 			continue
 		}
-		// Advect the forecast cell from issue time to now.
-		adv := *c
-		adv.Center = geo.Offset(c.Center, c.HeadRad, c.SpeedMS*(now-f.issuedAt))
-		total += adv.RateAt(p, now)
+		total += c.RateAt(p, now)
 	}
 	return total, true // a forecast covers the whole region
+}
+
+// advected returns the forecast cells advected from issue time to now,
+// computing them once per distinct now (compared by bits).
+func (f *Forecast) advected(now float64) []RainCell {
+	if a := f.adv.Load(); a != nil && math.Float64bits(a.at) == math.Float64bits(now) {
+		return a.cells
+	}
+	a := &advectedCells{at: now, cells: make([]RainCell, len(f.cells))}
+	for i, c := range f.cells {
+		a.cells[i] = *c
+		a.cells[i].Center = geo.Offset(c.Center, c.HeadRad, c.SpeedMS*(now-f.issuedAt))
+	}
+	f.adv.Store(a)
+	return a.cells
 }
 
 // AgeSeconds implements Source.
